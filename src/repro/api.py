@@ -29,7 +29,7 @@ All configs share the :class:`~repro.config_base.ConfigBase` contract:
 rejected.
 
 Framework dispatch is an open registry: :func:`register_framework`
-binds a name to a runner callable, and ``api.FRAMEWORKS`` reflects
+binds a name to a runner callable, and :func:`frameworks` lists
 whatever is currently registered (the paper's six frameworks ship
 built in).  Cluster specs are strings like ``eflops:16`` / ``gn6e:1``
 (or an already-built :class:`~repro.hardware.topology.ClusterSpec`),
@@ -38,6 +38,7 @@ matching the paper's two testbeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
@@ -49,6 +50,7 @@ from repro.faults.monitor import plan_report
 from repro.faults.plan import FaultPlan
 from repro.hardware import eflops_cluster, gn6e_cluster
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models import MODEL_BUILDERS
 from repro.models.base import ModelSpec
 from repro.online.loop import StreamReport, simulate_stream
@@ -116,20 +118,13 @@ def framework_runner(name: str):
                          f"expected one of {frameworks()}") from None
 
 
-def __getattr__(name: str):
-    # ``api.FRAMEWORKS`` predates the registry; keep it as a dynamic
-    # view so plug-in registrations show up in old call sites too.
-    if name == "FRAMEWORKS":
-        return frameworks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def parse_cluster(spec) -> ClusterSpec:
     """Resolve ``eflops:N`` / ``gn6e:N`` specs (pass-through for built).
 
     Names are case-insensitive — ``RunConfig.as_dict`` snapshots emit
     the cluster's display name (``EFLOPS:2``) and must parse back.
-    Raises :class:`ValueError` for unknown testbed names.
+    Raises :class:`ValueError` for unknown testbed names and for node
+    counts that are not integers >= 1.
     """
     if isinstance(spec, ClusterSpec):
         return spec
@@ -148,9 +143,8 @@ def _encode_cluster(spec) -> str:
     return f"{cluster.name}:{cluster.num_nodes}"
 
 
-#: Process-wide memos for the facade's deterministic spec builders.
-_MODEL_CACHE: dict = {}
-_CLUSTER_CACHE: dict = {}
+#: Process-wide memo for the facade's deterministic model builder.
+_MODELS = Memo(1024)
 
 
 @dataclass(frozen=True)
@@ -194,23 +188,19 @@ class RunConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(
+                f"scale must be finite and > 0, got {self.scale}")
         if self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 1:
             raise ValueError(
                 f"iterations must be >= 1, got {self.iterations}")
+        parse_cluster(self.cluster)
 
     def resolved_cluster(self) -> ClusterSpec:
         """The cluster this config runs on."""
-        if isinstance(self.cluster, str):
-            cached = _CLUSTER_CACHE.get(self.cluster)
-            if cached is None:
-                cached = parse_cluster(self.cluster)
-                _CLUSTER_CACHE[self.cluster] = cached
-            return cached
         return parse_cluster(self.cluster)
 
     def build_model(self) -> ModelSpec:
@@ -225,7 +215,7 @@ class RunConfig(ConfigBase):
         unknown model or dataset names, listing the valid choices.
         """
         key = (self.model, self.dataset, self.scale)
-        cached = _MODEL_CACHE.get(key)
+        cached = _MODELS.get(key)
         if cached is not None:
             return cached
         if self.model not in MODEL_BUILDERS:
@@ -238,9 +228,7 @@ class RunConfig(ConfigBase):
                 f"expected one of {list(ALL_DATASETS)}")
         dataset = ALL_DATASETS[self.dataset](self.scale)
         model = MODEL_BUILDERS[self.model](dataset)
-        if len(_MODEL_CACHE) >= 128:
-            _MODEL_CACHE.clear()
-        _MODEL_CACHE[key] = model
+        _MODELS[key] = model
         return model
 
 

@@ -2,10 +2,10 @@
 
 Every other bench gates *modeled* quantities, which are deterministic
 by construction.  This one exists to catch regressions in how fast the
-simulator itself runs: the vectorized event loop, the plan/compile
-caches, and the embedding batch path are all on the measured path, and
-a change that silently falls back to the per-event Python loop shows
-up as a ~10x wall-clock blowup long before any modeled metric moves.
+simulator itself runs: the engine's event loop, the plan/compile
+memos' hit paths, and the embedding batch path are all on the measured
+path, and a change that makes a warm run an order of magnitude slower
+shows up here long before any modeled metric moves.
 
 Two consumers share one harness (:func:`measure_walltime`):
 
@@ -36,11 +36,10 @@ WALLTIME_WORKLOAD = dict(model="W&D", dataset="Product-1", scale=1.0,
                          cluster="eflops:2", batch_size=20_000,
                          iterations=1)
 
-#: CI budget for the *median* timed run, in seconds.  The vectorized
-#: engine completes this workload in ~5 ms warm on a dev box; the
+#: CI budget for the *median* timed run, in seconds.  The engine
+#: completes this workload in ~5 ms warm on a dev box; the
 #: pre-vectorization loop took ~50 ms.  0.25 s leaves ~50x headroom
-#: for slow shared runners while still sitting well under what a
-#: fallback to the per-event Python loop would cost there.
+#: for slow shared runners.
 WALLTIME_BUDGET_S = 0.25
 
 #: Timed-run protocol: the first ``WALLTIME_WARMUP`` runs are

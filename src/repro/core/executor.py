@@ -9,13 +9,13 @@ utilization, PCIe GB/s, network Gbps, breakdowns).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.config import PicassoConfig
 from repro.core.planner import PicassoPlanner
 from repro.graph.builder import ExecutionPlan, IterationGraphBuilder
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models.base import ModelSpec
 from repro.sim.engine import Engine, SimResult, build_node_resources
 from repro.sim.resource import ResourceKind
@@ -80,19 +80,13 @@ class RunReport:
         return instances / self.ips / 3600.0
 
 
-#: Compiled-plan cache: ``(plan fingerprint, iterations)`` ->
+#: Compiled-plan memo: ``(plan fingerprint, iterations)`` ->
 #: ``(graph, tasks, initial indegrees)``.  Graph building is fully
 #: deterministic (workload statistics are seeded), so two plans with
 #: equal signatures compile to identical graphs; repeated
 #: bench/tune/replay invocations of the same workload skip the rebuild
-#: entirely.  Bounded FIFO so sweeps over many configs stay flat.
-_COMPILE_CACHE: OrderedDict = OrderedDict()
-_COMPILE_CACHE_MAX = 64
-
-
-def clear_compile_cache() -> None:
-    """Drop all cached compiled plans (mainly for tests)."""
-    _COMPILE_CACHE.clear()
+#: entirely.
+_COMPILED = Memo(64)
 
 
 def _reset_tasks(tasks: list, indegrees: list) -> None:
@@ -143,10 +137,9 @@ def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
         fingerprint = config_fingerprint(plan.signature())
         plan._fingerprint = fingerprint
     key = (fingerprint, iterations)
-    cached = _COMPILE_CACHE.get(key)
+    cached = _COMPILED.get(key)
     if cached is not None:
         graph, tasks, indegrees = cached
-        _COMPILE_CACHE.move_to_end(key)
         _reset_tasks(tasks, indegrees)
         return graph, tasks, build_node_resources(plan.cluster.node)
     builder = IterationGraphBuilder(plan)
@@ -161,9 +154,7 @@ def compile_plan(plan: ExecutionPlan, iterations: int) -> tuple:
     floor = plan.cost.launch_floor * plan.launch_scale * overhead
     tasks = graph.to_sim_tasks(launch, floor)
     resources = build_node_resources(plan.cluster.node)
-    _COMPILE_CACHE[key] = (graph, tasks, [task.indegree for task in tasks])
-    while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
-        _COMPILE_CACHE.popitem(last=False)
+    _COMPILED[key] = (graph, tasks, [task.indegree for task in tasks])
     return graph, tasks, resources
 
 

@@ -8,15 +8,11 @@ Tab. III; production model batch sizes follow Tab. VII's XDL column.
 
 from __future__ import annotations
 
-
 from repro.api import RunConfig
 from repro.api import run as run_config
 from repro.core import PicassoConfig
 from repro.core.executor import RunReport
-from repro.data import alibaba, criteo, product1, product2, product3
 from repro.data.spec import DatasetSpec, FieldSpec
-from repro.graph.builder import WorkloadStats
-from repro.models import can, dien, din, dlrm, deepfm, mmoe, wide_deep
 
 #: Per-GPU batch sizes used in the Tab. III benchmark comparison.
 BENCHMARK_BATCH_SIZES = {
@@ -33,41 +29,32 @@ BENCHMARK_BATCH_SIZES = {
 #: Production-model batch sizes (per worker) for the EFLOPS studies.
 PRODUCTION_BATCH_SIZES = {"W&D": 20_000, "CAN": 12_000, "MMoE": 9_000}
 
-_SHARED_STATS = WorkloadStats()
-_MODEL_CACHE: dict = {}
+#: Tab. III benchmark models and the production models, each mapped to
+#: the Tab. II dataset it trains on.
+_BENCHMARK_DATASETS = {"DLRM": "Criteo", "DeepFM": "Criteo",
+                       "DIN": "Alibaba", "DIEN": "Alibaba"}
+_PRODUCTION_DATASETS = {"W&D": "Product-1", "CAN": "Product-2",
+                        "MMoE": "Product-3"}
+
+#: The frameworks the Fig. 10-12 public-benchmark comparisons sweep.
+FRAMEWORKS = ("TF-PS", "PyTorch", "Horovod", "PICASSO")
+
+
+def _full_scale_model(name: str, datasets: dict, kind: str):
+    if name not in datasets:
+        raise KeyError(f"unknown {kind} model {name!r}")
+    model = RunConfig(model=name, dataset=datasets[name]).build_model()
+    return model, model.dataset
 
 
 def benchmark_model(name: str):
     """(model, dataset) for a Tab. III benchmark model by name."""
-    if name not in _MODEL_CACHE:
-        builders = {
-            "DLRM": (dlrm, criteo),
-            "DeepFM": (deepfm, criteo),
-            "DIN": (din, alibaba),
-            "DIEN": (dien, alibaba),
-        }
-        if name not in builders:
-            raise KeyError(f"unknown benchmark model {name!r}")
-        build, dataset_fn = builders[name]
-        dataset = dataset_fn(1.0)
-        _MODEL_CACHE[name] = (build(dataset), dataset)
-    return _MODEL_CACHE[name]
+    return _full_scale_model(name, _BENCHMARK_DATASETS, "benchmark")
 
 
 def production_model(name: str):
     """(model, dataset) for a production model (W&D / CAN / MMoE)."""
-    if name not in _MODEL_CACHE:
-        builders = {
-            "W&D": (wide_deep, product1),
-            "CAN": (can, product2),
-            "MMoE": (mmoe, product3),
-        }
-        if name not in builders:
-            raise KeyError(f"unknown production model {name!r}")
-        build, dataset_fn = builders[name]
-        dataset = dataset_fn(1.0)
-        _MODEL_CACHE[name] = (build(dataset), dataset)
-    return _MODEL_CACHE[name]
+    return _full_scale_model(name, _PRODUCTION_DATASETS, "production")
 
 
 def run_framework(framework: str, model, cluster, batch_size: int,

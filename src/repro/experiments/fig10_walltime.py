@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     BENCHMARK_BATCH_SIZES,
+    FRAMEWORKS,
     benchmark_model,
     run_framework,
 )
 from repro.hardware import gn6e_cluster
-
-FRAMEWORKS = ("TF-PS", "PyTorch", "Horovod", "PICASSO")
 
 #: One-epoch instance counts (Tab. II; Alibaba 13M x multiple passes in
 #: the original setup — we use the raw instance count).

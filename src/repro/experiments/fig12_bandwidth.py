@@ -11,14 +11,13 @@ import numpy as np
 
 from repro.experiments.common import (
     BENCHMARK_BATCH_SIZES,
+    FRAMEWORKS,
     benchmark_model,
     run_framework,
 )
 from repro.hardware import gn6e_cluster
 from repro.sim.metrics import bandwidth_timeline
 from repro.sim.resource import ResourceKind
-
-FRAMEWORKS = ("TF-PS", "PyTorch", "Horovod", "PICASSO")
 
 
 def run_bandwidth(iterations: int = 3, bucket: float = 0.010) -> list:

@@ -21,6 +21,7 @@ from repro.data.statistics import expected_unique_fraction
 from repro.graph.graph import Graph
 from repro.graph.op import Op, OpKind, efficiency_capped_rate
 from repro.hardware.topology import ClusterSpec
+from repro.memo import Memo
 from repro.models.base import (
     InteractionKind,
     ModelSpec,
@@ -151,19 +152,19 @@ def groups_per_field(dataset: DatasetSpec) -> list:
             for spec in dataset.fields]
 
 
+#: Shared unique-fraction measurements.  The statistic is a pure
+#: function of ``(vocab, skew, capped batch, seed)`` — sampling is
+#: seeded — so it is memoized process-wide rather than per instance:
+#: planners are constructed per run, and re-sampling the same
+#: distributions dominated repeated plan builds.
+_UNIQUE_FRACTIONS = Memo(1024)
+
+
 class WorkloadStats:
     """Caches per-field batch statistics (unique-ID fractions)."""
 
-    #: Shared measurement cache.  The statistic is a pure function of
-    #: ``(vocab, skew, capped batch, seed)`` — sampling is seeded — so
-    #: it is cached process-wide rather than per instance: planners are
-    #: constructed per run, and re-sampling the same distributions
-    #: dominated repeated plan builds.
-    _shared_cache: dict = {}
-
     def __init__(self, seed: int = 7):
         self._seed = seed
-        self._cache = WorkloadStats._shared_cache
 
     def unique_fraction(self, spec: FieldSpec, batch_ids: int) -> float:
         """Expected unique fraction for a batch of ``batch_ids`` IDs.
@@ -174,11 +175,11 @@ class WorkloadStats:
         """
         key = (spec.vocab_size, spec.zipf_exponent,
                min(batch_ids, 200_000), self._seed)
-        cached = self._cache.get(key)
+        cached = _UNIQUE_FRACTIONS.get(key)
         if cached is None:
             cached = expected_unique_fraction(
                 spec, batch_ids, seed=self._seed)
-            self._cache[key] = cached
+            _UNIQUE_FRACTIONS[key] = cached
         return cached
 
     def group_unique_ids(self, group: EmbeddingGroup,

@@ -7,6 +7,7 @@ is a homogeneous collection of nodes joined by a network link.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 from repro.hardware.specs import (
@@ -63,6 +64,12 @@ class ClusterSpec:
     node: NodeSpec
     num_nodes: int
 
+    def __post_init__(self) -> None:
+        if (not isinstance(self.num_nodes, numbers.Integral)
+                or self.num_nodes < 1):
+            raise ValueError(
+                f"num_nodes must be an integer >= 1, got {self.num_nodes!r}")
+
     @property
     def num_workers(self) -> int:
         """Total GPU workers across the cluster."""
@@ -70,8 +77,6 @@ class ClusterSpec:
 
     def with_nodes(self, num_nodes: int) -> "ClusterSpec":
         """Return a copy of this cluster scaled to ``num_nodes``."""
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         return replace(self, num_nodes=num_nodes)
 
 

@@ -29,8 +29,8 @@ from repro.sim.trace import TaskRecord, TraceRecorder
 
 _EPS = 1e-12
 
-#: Initial capacity of the vectorized engine's slot arrays; grows by
-#: doubling when concurrency exceeds it.
+#: Initial capacity of the engine's slot arrays; grows by doubling
+#: when concurrency exceeds it.
 _MIN_SLOTS = 64
 
 
@@ -59,8 +59,8 @@ class SimTask:
         self.remaining = self.phases[0].work if self.phases else 0.0
         self.finish_time: float | None = None
         self.start_time: float | None = None
-        #: slot index in the vectorized engine's arrays (-1 = inactive)
-        #: and the current phase's max_rate, both engine-managed.
+        #: slot index in the engine's arrays (-1 = inactive) and the
+        #: current phase's max_rate, both engine-managed.
         self._slot = -1
         self._cap = math.inf
 
@@ -68,19 +68,6 @@ class SimTask:
     def current_phase(self) -> Phase:
         """The phase the task is currently executing or about to enter."""
         return self.phases[self._phase_index]
-
-    @property
-    def done_with_phases(self) -> bool:
-        """Whether every phase has completed."""
-        return self._phase_index >= len(self.phases)
-
-    def advance_phase(self) -> bool:
-        """Move to the next phase; return ``False`` when none remain."""
-        self._phase_index += 1
-        if self._phase_index >= len(self.phases):
-            return False
-        self.remaining = self.current_phase.work
-        return True
 
     def depends_on(self, other: "SimTask") -> None:
         """Declare that this task cannot start before ``other`` finishes."""
@@ -212,16 +199,16 @@ def build_node_resources(node: NodeSpec, launch_slots: int = 4,
 
 
 class _Lane:
-    """Cached rate allocation of one resource (vectorized engine).
+    """Cached rate allocation of one resource.
 
-    The legacy loop recomputed the water-filling allocation of every
-    occupied resource on every event; the allocation is a pure function
-    of the occupant list and the fault scale, so a lane caches it and
-    only recomputes when membership or scale actually changed (the
-    ``dirty`` flag).  ``alloc_tasks``/``alloc_rates`` preserve the
-    legacy allocation-dict insertion order — capped tasks first, per
-    water-filling iteration, then the uncapped fair-share rest — which
-    the engine relies on to emit completions in byte-identical order.
+    The water-filling allocation (:meth:`Resource.allocate_rates`) is a
+    pure function of the occupant list and the fault scale, so a lane
+    caches it and only recomputes when membership or scale actually
+    changed (the ``dirty`` flag).  ``alloc_tasks``/``alloc_rates``
+    preserve ``allocate_rates``' dict insertion order — capped tasks
+    first, per water-filling iteration, then the uncapped fair-share
+    rest — which the engine relies on to emit completions in a fixed,
+    reproducible order.
     """
 
     __slots__ = ("resource", "capacity", "alloc_tasks", "alloc_rates",
@@ -240,8 +227,8 @@ class _Lane:
         #: ``resource.active`` being non-empty after the last rebuild);
         #: live lanes are the only ones the trace step visits.
         self.live = False
-        # Trace accumulators, folded in event order exactly as the
-        # legacy ``TraceRecorder.add_interval`` would; flushed into the
+        # Trace accumulators, folded in event order exactly as
+        # ``TraceRecorder.add_interval`` would; flushed into the
         # ResourceTrace at the end of the run.
         self.busy = 0.0
         self.work = 0.0
@@ -252,29 +239,20 @@ class _Lane:
 class Engine:
     """Runs a set of :class:`SimTask` DAG nodes to completion.
 
-    Two equivalent execution loops are available:
-
-    * the **vectorized** hot path (default) keeps every active task's
-      remaining work in a flat numpy slot array, caches per-resource
-      rate allocations until membership changes, and advances events
-      with a handful of whole-array operations;
-    * the **legacy** per-event Python scan, kept as the executable
-      specification the equivalence suite checks the vectorized loop
-      against, bit for bit.
-
-    Both produce byte-identical results — makespans, utilization
-    traces, task records and fault kill/requeue ordering.
+    The event loop keeps every active task's remaining work in a flat
+    numpy slot array, caches per-resource rate allocations until
+    membership changes, and advances events with a handful of
+    whole-array operations.  ``tests/engine_oracle.py`` keeps the
+    original per-event Python scan as the executable specification;
+    the equivalence suite holds this loop to it bit for bit —
+    makespans, utilization traces, task records and fault
+    kill/requeue ordering.
     """
 
-    def __init__(self, resources: dict, record_trace: bool = True,
-                 vectorized: bool = True):
-        """:param resources: mapping of kind -> :class:`Resource`.
-        :param vectorized: select the numpy hot path (default) or the
-            legacy reference loop; results are bit-identical.
-        """
+    def __init__(self, resources: dict, record_trace: bool = True):
+        """:param resources: mapping of kind -> :class:`Resource`."""
         self.resources = resources
         self.record_trace = record_trace
-        self.vectorized = vectorized
 
     def run(self, tasks: list, keep_finish_times: bool = False,
             record_tasks: bool = False, injector=None) -> SimResult:
@@ -299,184 +277,6 @@ class Engine:
         Raises :class:`RuntimeError` on dependency cycles (detected as a
         stall with unfinished tasks) and :class:`KeyError` when a phase
         references a resource kind this engine was not built with.
-        """
-        if self.vectorized:
-            return self._run_vectorized(tasks, keep_finish_times,
-                                        record_tasks, injector)
-        return self._run_legacy(tasks, keep_finish_times,
-                                record_tasks, injector)
-
-    def _run_legacy(self, tasks: list, keep_finish_times: bool = False,
-                    record_tasks: bool = False, injector=None) -> SimResult:
-        """The original per-event Python scan (reference semantics)."""
-        for resource in self.resources.values():
-            resource.active.clear()
-            resource.queue.clear()
-        recorder = TraceRecorder(
-            {kind: res.capacity for kind, res in self.resources.items()})
-        now = 0.0
-        events = 0
-        finished = 0
-        total = len(tasks)
-        running: set = set()
-        records: list = []
-        segment_start: dict = {}  # task -> current segment's start time
-        segments: dict = {}  # task -> [(kind value, t0, t1), ...]
-        pred_names: dict = {}
-        if record_tasks:
-            pred_names = {id(task): [] for task in tasks}
-            for task in tasks:
-                for succ in task.succs:
-                    pred_names[id(succ)].append(task.name)
-
-        def begin_segment(task: SimTask) -> None:
-            if record_tasks:
-                segment_start[id(task)] = now
-
-        def end_segment(task: SimTask) -> None:
-            if record_tasks:
-                start = segment_start.pop(id(task))
-                segments.setdefault(id(task), []).append(
-                    (task.current_phase.kind.value, start, now))
-
-        def admit(task: SimTask) -> None:
-            while True:
-                if task.done_with_phases or not task.phases:
-                    complete(task)
-                    return
-                if task.current_phase.work <= 0:
-                    if not task.advance_phase():
-                        complete(task)
-                        return
-                    continue
-                break
-            resource = self.resources[task.current_phase.kind]
-            if resource.has_free_slot():
-                resource.active.append(task)
-                running.add(task)
-                begin_segment(task)
-                if task.start_time is None:
-                    task.start_time = now
-            else:
-                resource.queue.append(task)
-                if task.start_time is None:
-                    task.start_time = now
-
-        def complete(task: SimTask) -> None:
-            nonlocal finished
-            task.finish_time = now
-            finished += 1
-            if record_tasks:
-                records.append(TaskRecord(
-                    name=task.name,
-                    start=task.start_time if task.start_time is not None
-                    else now,
-                    end=now,
-                    preds=tuple(pred_names.get(id(task), ())),
-                    tags=dict(task.tags),
-                    segments=tuple(segments.pop(id(task), ()))))
-            for succ in task.succs:
-                succ.indegree -= 1
-                if succ.indegree == 0:
-                    admit(succ)
-
-        # Snapshot the initial ready set first: admitting a zero-work
-        # task can cascade completions that drop other tasks' indegree
-        # to zero, and those are already admitted by the cascade.
-        initially_ready = [task for task in tasks if task.indegree == 0]
-        for task in initially_ready:
-            admit(task)
-
-        def kill_in_flight() -> int:
-            """Crash semantics: every in-flight task loses its current
-            phase's progress and re-enters its resource queue."""
-            killed = 0
-            for resource in self.resources.values():
-                for task in list(resource.active):
-                    end_segment(task)  # the aborted occupancy stays visible
-                    task.remaining = task.current_phase.work
-                    resource.active.remove(task)
-                    running.discard(task)
-                    resource.queue.append(task)
-                    killed += 1
-                while resource.queue and resource.has_free_slot():
-                    queued = resource.queue.pop(0)
-                    resource.active.append(queued)
-                    running.add(queued)
-                    begin_segment(queued)
-                    if queued.start_time is None:
-                        queued.start_time = now
-            return killed
-
-        while running:
-            events += 1
-            # Allocate rates per resource and find the earliest completion.
-            rates: dict = {}
-            totals: dict = {}
-            dt = math.inf
-            for kind, resource in self.resources.items():
-                if not resource.active:
-                    continue
-                scale = injector.scale(kind, now) if injector else 1.0
-                allocation = resource.allocate_rates(scale)
-                totals[kind] = sum(allocation.values())
-                for task, rate in allocation.items():
-                    rates[task] = rate
-                    if rate > 0:
-                        dt = min(dt, task.remaining / rate)
-            if injector is not None:
-                boundary = injector.next_boundary(now)
-                if math.isfinite(boundary):
-                    dt = min(dt, max(boundary - now, 0.0))
-            if not math.isfinite(dt):
-                raise RuntimeError("simulation stalled with running tasks")
-            dt = max(dt, 0.0)
-            if dt > 0:
-                recorder.add_interval(now, now + dt, totals)
-            previous = now
-            now += dt
-
-            completed_phase = []
-            for task, rate in rates.items():
-                task.remaining -= rate * dt
-                if task.remaining <= _EPS * max(1.0, rate):
-                    completed_phase.append(task)
-            for task in completed_phase:
-                resource = self.resources[task.current_phase.kind]
-                end_segment(task)
-                resource.active.remove(task)
-                running.discard(task)
-                while resource.queue and resource.has_free_slot():
-                    queued = resource.queue.pop(0)
-                    resource.active.append(queued)
-                    running.add(queued)
-                    begin_segment(queued)
-                    if queued.start_time is None:
-                        queued.start_time = now
-                if task.advance_phase():
-                    admit(task)
-                else:
-                    complete(task)
-
-            if injector is not None:
-                for event in injector.crashes_between(previous, now):
-                    injector.record(event, now, kill_in_flight())
-
-        if finished != total:
-            stuck = total - finished
-            raise RuntimeError(
-                f"{stuck} task(s) never became ready; dependency cycle?")
-        finish_times = {}
-        if keep_finish_times:
-            finish_times = {task.name: task.finish_time for task in tasks}
-        return SimResult(makespan=now, recorder=recorder,
-                         task_count=total, event_count=events,
-                         finish_times=finish_times, task_records=records)
-
-    def _run_vectorized(self, tasks: list, keep_finish_times: bool = False,
-                        record_tasks: bool = False,
-                        injector=None) -> SimResult:
-        """Numpy hot path; bit-identical to :meth:`_run_legacy`.
 
         Design (see DESIGN.md "Engine internals"):
 
@@ -489,15 +289,15 @@ class Engine:
           recomputed only when occupancy or the fault scale changes;
         * each event is one fused sweep — divide / min for the next
           completion, multiply / subtract for the work drain, a
-          compare + ``flatnonzero`` for completions — instead of the
+          compare + ``flatnonzero`` for completions — instead of an
           O(resources x occupants) Python scan.
 
-        Bitwise equivalence holds because elementwise float64 numpy
-        arithmetic (divide, multiply, subtract) rounds identically to
-        Python scalar arithmetic, min/compare operations pick values
-        without rounding, and every order-sensitive reduction (the
-        recorder totals, completion emission) still runs in the legacy
-        allocation order.
+        Bitwise equality with the reference scan holds because
+        elementwise float64 numpy arithmetic (divide, multiply,
+        subtract) rounds identically to Python scalar arithmetic,
+        min/compare operations pick values without rounding, and every
+        order-sensitive reduction (the recorder totals, completion
+        emission) still runs in allocation order.
         """
         resources = self.resources
         res_items = list(resources.items())
@@ -583,7 +383,7 @@ class Engine:
             running.discard(task)
 
         def rebuild(lane: _Lane) -> None:
-            """Recompute one resource's allocation (legacy water-fill).
+            """Recompute one resource's allocation (water-fill).
 
             Mirrors ``Resource.allocate_rates`` op for op — same
             iteration structure, same sequential budget subtraction —
@@ -690,7 +490,7 @@ class Engine:
                 alloc_tasks = list(active)
                 alloc_rates = [0.0] * len(active)
             else:
-                # Single-pass form of the legacy two-comprehension
+                # Single-pass form of allocate_rates' two-comprehension
                 # water-fill: capped tasks are appended (and their
                 # rates deducted) in the same pending order, the
                 # survivors filtered with the same ``>= fair`` test,
@@ -744,10 +544,8 @@ class Engine:
                     (task.current_phase.kind.value, start, now))
 
         def admit(task: SimTask) -> None:
-            # Unrolled form of the legacy preamble (``done_with_phases``
-            # / ``current_phase`` / ``advance_phase``), manipulating
-            # ``_phase_index`` directly: zero-work phases complete
-            # immediately, in the same order.
+            # Skip zero-work phases by stepping ``_phase_index``
+            # directly: they complete immediately, in phase order.
             phases = task.phases
             count = len(phases)
             index = task._phase_index
@@ -889,7 +687,7 @@ class Engine:
                     end = now + dt
                     dtp = end - now
                     if dtp > 0.0:
-                        # Legacy ``recorder.add_interval``, unrolled
+                        # ``recorder.add_interval``, unrolled
                         # over the live lanes; same fold order per
                         # kind, so the accumulators round identically.
                         for lane in live_lanes:
@@ -909,7 +707,7 @@ class Engine:
                     if hits.shape[0] == 1:
                         completed_phase = [slot_task[hits.item(0)]]
                     else:
-                        # Emit in the legacy order: resources-dict
+                        # Emit in the reference order: resources-dict
                         # iteration order, allocation order within.
                         hit_set = {slot_task[index] for index in hits}
                         completed_phase = []
@@ -956,7 +754,7 @@ class Engine:
                             begin_segment(queued)
                             if queued.start_time is None:
                                 queued.start_time = now
-                        # task.advance_phase(), inlined
+                        # advance to the next phase
                         index += 1
                         task._phase_index = index
                         if index < len(phases):
@@ -970,7 +768,7 @@ class Engine:
                         injector.record(event, now, kill_in_flight())
 
         # Flush the per-lane trace accumulators into the recorder the
-        # callers see; folding happened in the legacy event order, so
+        # callers see; folding happened in event order, so
         # every float is byte-identical to an add_interval stream.
         for lane in lanes.values():
             lane.trace.busy_seconds = lane.busy

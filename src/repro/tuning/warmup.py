@@ -7,10 +7,9 @@ micro-batches) around the analytic estimates and returns the best
 configuration — the same profile-then-commit loop production PICASSO
 runs during its warm-up phase.
 
-Moved here from ``repro.core.autotuner`` (a deprecation shim remains
-at the old path) and exposed to the search loop as the registered
-``"warmup-grid"`` strategy: the only fully-measured strategy, useful
-as a fidelity yardstick for the replay-predicted ones.
+Exposed to the search loop as the registered ``"warmup-grid"``
+strategy: the only fully-measured strategy, useful as a fidelity
+yardstick for the replay-predicted ones.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import pytest
 
 from repro import api
 from repro.api import (
-    FRAMEWORKS,
     ProfileResult,
     RunConfig,
     ServeConfig,
@@ -69,6 +68,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(dataset="ImageNet").build_model()
 
+    # Bad inputs fail at construction instead of running: a zero or
+    # negative node count used to run as one node, and a NaN scale
+    # died deep in the dataset build.
+    def test_zero_node_cluster_rejected(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            RunConfig(cluster="eflops:0")
+
+    def test_negative_node_cluster_rejected(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            RunConfig(cluster="eflops:-8")
+
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            RunConfig(scale=float("nan"))
+
+    def test_inf_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            RunConfig(scale=float("inf"))
+
     def test_round_trip_with_fault_plan(self):
         plan = FaultPlan(events=(
             FaultEvent(kind="crash", time_s=1.0, duration_s=0.5),))
@@ -127,8 +145,6 @@ class TestFrameworkRegistry:
         names = api.frameworks()
         assert "PICASSO" in names
         assert "TF-PS" in names
-        # The legacy module attribute is a live view of the registry.
-        assert names == api.FRAMEWORKS
 
     def test_duplicate_name_rejected_without_overwrite(self):
         with pytest.raises(ValueError):
@@ -151,7 +167,7 @@ class TestFrameworkRegistry:
 
         api.register_framework("TestPlugin", runner)
         try:
-            assert "TestPlugin" in api.FRAMEWORKS
+            assert "TestPlugin" in api.frameworks()
             report = api.run(TINY.with_overrides(framework="TestPlugin"))
             assert report.ips > 0
             assert calls == [("TestPlugin", "DLRM", 2)]
@@ -189,7 +205,7 @@ class TestRunFacade:
         assert with_reuse.ips == pytest.approx(without.ips)
 
     def test_every_framework_runs(self):
-        for framework in FRAMEWORKS:
+        for framework in api.frameworks():
             report = api.run(TINY.with_overrides(framework=framework))
             assert report.ips > 0, framework
 

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import PicassoConfig
-from repro.core.autotuner import AutoTuner, TuningResult
 from repro.data import product1
 from repro.hardware import eflops_cluster
 from repro.models import wide_deep
+from repro.tuning import AutoTuner, TuningResult
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
-"""Bitwise equivalence of the vectorized engine vs the legacy loop.
+"""Bitwise equivalence of ``Engine.run`` vs the reference loop.
 
-The vectorized hot path (``Engine(..., vectorized=True)``, the
-default) is only allowed to be *faster* than the per-event Python scan
-it replaced — never different.  Every test here runs the same workload
-through both loops and compares the complete observable outcome with
-``==`` (no tolerances): makespan, event counts, finish times, per-task
-execution segments, per-resource utilization traces, and the fault
-injector's kill/requeue log.  Any float that drifts by one ulp fails.
+The engine's numpy event loop is only allowed to be *faster* than the
+per-event Python scan it replaced (kept as the oracle in
+``tests/engine_oracle.py``) — never different.  Every test here runs
+the same workload through both loops and compares the complete
+observable outcome with ``==`` (no tolerances): makespan, event
+counts, finish times, per-task execution segments, per-resource
+utilization traces, and the fault injector's kill/requeue log.  Any
+float that drifts by one ulp fails.
 
 Workloads come from three sources: hand-built DAGs covering the
 engine's edge cases, hypothesis-generated random DAGs, and the real
@@ -28,41 +29,40 @@ from repro.core.executor import compile_plan
 from repro.core.planner import PicassoPlanner
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.sim import Engine, Phase, Resource, ResourceKind, SimTask
+from tests.engine_oracle import run_reference
 
 KINDS = (ResourceKind.NET, ResourceKind.GPU_SM, ResourceKind.HBM,
          ResourceKind.CPU)
 
 
-def _both_engines(resources_builder, tasks_builder, **run_kwargs):
-    """Run fresh tasks through each loop; return both results.
+def _run_both(resources_builder, tasks_builder, **run_kwargs):
+    """Run fresh tasks through the oracle, then the engine; return both.
 
     Builders are callables so each loop gets its own task/resource
     objects — the engine mutates both during a run.
     """
-    results = []
-    for vectorized in (False, True):
-        engine = Engine(resources_builder(), vectorized=vectorized)
-        results.append(engine.run(tasks_builder(),
-                                  keep_finish_times=True,
-                                  record_tasks=True, **run_kwargs))
-    return results
+    kwargs = dict(keep_finish_times=True, record_tasks=True, **run_kwargs)
+    reference = run_reference(resources_builder(), tasks_builder(),
+                              **kwargs)
+    engine = Engine(resources_builder()).run(tasks_builder(), **kwargs)
+    return reference, engine
 
 
-def _assert_bitwise_equal(legacy, vect):
+def _assert_bitwise_equal(reference, engine):
     """Every observable of the two results must compare ``==``."""
-    assert vect.makespan == legacy.makespan
-    assert vect.task_count == legacy.task_count
-    assert vect.event_count == legacy.event_count
-    assert vect.finish_times == legacy.finish_times
-    legacy_records = [(r.name, r.start, r.end, r.preds, r.segments)
-                      for r in legacy.task_records]
-    vect_records = [(r.name, r.start, r.end, r.preds, r.segments)
-                    for r in vect.task_records]
-    assert vect_records == legacy_records
-    assert set(vect.recorder.kinds()) == set(legacy.recorder.kinds())
-    for kind in legacy.recorder.kinds():
-        a = legacy.recorder.trace(kind)
-        b = vect.recorder.trace(kind)
+    assert engine.makespan == reference.makespan
+    assert engine.task_count == reference.task_count
+    assert engine.event_count == reference.event_count
+    assert engine.finish_times == reference.finish_times
+    reference_records = [(r.name, r.start, r.end, r.preds, r.segments)
+                         for r in reference.task_records]
+    engine_records = [(r.name, r.start, r.end, r.preds, r.segments)
+                      for r in engine.task_records]
+    assert engine_records == reference_records
+    assert set(engine.recorder.kinds()) == set(reference.recorder.kinds())
+    for kind in reference.recorder.kinds():
+        a = reference.recorder.trace(kind)
+        b = engine.recorder.trace(kind)
         assert b.busy_seconds == a.busy_seconds, kind
         assert b.work_done == a.work_done, kind
         assert b.segments == a.segments, kind
@@ -83,8 +83,8 @@ class TestHandBuiltEquivalence:
         }
 
     def test_empty_task_list(self):
-        legacy, vect = _both_engines(self._resources, lambda: [])
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(self._resources, lambda: [])
+        _assert_bitwise_equal(reference, engine)
 
     def test_zero_phase_and_zero_work_tasks(self):
         def tasks():
@@ -94,8 +94,8 @@ class TestHandBuiltEquivalence:
             c = SimTask("c", [Phase(ResourceKind.GPU_SM, 0.0)])
             c.depends_on(a)
             return [a, b, c]
-        legacy, vect = _both_engines(self._resources, tasks)
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(self._resources, tasks)
+        _assert_bitwise_equal(reference, engine)
 
     def test_processor_sharing_with_caps(self):
         def tasks():
@@ -105,19 +105,19 @@ class TestHandBuiltEquivalence:
                    for i in range(5)]
             out.append(SimTask("free", [Phase(ResourceKind.NET, 11.0)]))
             return out
-        legacy, vect = _both_engines(self._resources, tasks)
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(self._resources, tasks)
+        _assert_bitwise_equal(reference, engine)
 
     def test_fifo_slot_queue_ordering(self):
         def tasks():
             # 5 tasks through a 2-slot resource: admission order and
-            # queue rotation must match the legacy FIFO exactly.
+            # queue rotation must match the reference FIFO exactly.
             return [SimTask(f"q{i}",
                             [Phase(ResourceKind.LAUNCH, 1.0 + i),
                              Phase(ResourceKind.NET, 5.0)])
                     for i in range(5)]
-        legacy, vect = _both_engines(self._resources, tasks)
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(self._resources, tasks)
+        _assert_bitwise_equal(reference, engine)
 
     def test_diamond_with_mixed_kinds(self):
         def tasks():
@@ -131,18 +131,20 @@ class TestHandBuiltEquivalence:
             d.depends_on(b)
             d.depends_on(c)
             return [a, b, c, d]
-        legacy, vect = _both_engines(self._resources, tasks)
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(self._resources, tasks)
+        _assert_bitwise_equal(reference, engine)
 
     def test_cycle_detection_in_both_loops(self):
-        for vectorized in (False, True):
+        def cycle():
             a = SimTask("a", [Phase(ResourceKind.NET, 1.0)])
             b = SimTask("b", [Phase(ResourceKind.NET, 1.0)])
             a.depends_on(b)
             b.depends_on(a)
-            engine = Engine(self._resources(), vectorized=vectorized)
-            with pytest.raises(RuntimeError):
-                engine.run([a, b])
+            return [a, b]
+        with pytest.raises(RuntimeError):
+            run_reference(self._resources(), cycle())
+        with pytest.raises(RuntimeError):
+            Engine(self._resources()).run(cycle())
 
 
 # ---------------------------------------------------------------------
@@ -215,8 +217,8 @@ class TestRandomDagEquivalence:
     @given(dag_specs())
     def test_random_dag_bitwise(self, spec):
         resources, tasks = _materialize(spec)
-        legacy, vect = _both_engines(resources, tasks)
-        _assert_bitwise_equal(legacy, vect)
+        reference, engine = _run_both(resources, tasks)
+        _assert_bitwise_equal(reference, engine)
 
 
 # ---------------------------------------------------------------------
@@ -253,18 +255,19 @@ class TestFaultEquivalence:
         return out
 
     def test_faulted_run_bitwise(self):
-        results = []
-        logs = []
-        for vectorized in (False, True):
-            injector = FaultInjector(self._plan())
-            engine = Engine(self._resources(), vectorized=vectorized)
-            results.append(engine.run(self._tasks(),
-                                      keep_finish_times=True,
-                                      record_tasks=True,
-                                      injector=injector))
-            logs.append([(event.kind, event.time_s, time_s, killed)
-                         for event, time_s, killed in injector.log])
-        _assert_bitwise_equal(results[0], results[1])
+        injectors = [FaultInjector(self._plan()) for _ in range(2)]
+        reference = run_reference(self._resources(), self._tasks(),
+                                  keep_finish_times=True,
+                                  record_tasks=True,
+                                  injector=injectors[0])
+        engine = Engine(self._resources()).run(self._tasks(),
+                                               keep_finish_times=True,
+                                               record_tasks=True,
+                                               injector=injectors[1])
+        logs = [[(event.kind, event.time_s, time_s, killed)
+                 for event, time_s, killed in injector.log]
+                for injector in injectors]
+        _assert_bitwise_equal(reference, engine)
         # Kill/requeue ordering: same crashes applied at the same
         # instants, killing the same number of in-flight tasks.
         assert logs[1] == logs[0]
@@ -287,16 +290,17 @@ class TestCompiledPlanEquivalence:
         planner = PicassoPlanner(config.picasso or PicassoConfig())
         plan = planner.plan(config.build_model(),
                             config.resolved_cluster(), batch)
-        results = []
-        for vectorized in (False, True):
-            # compile_plan memoizes (graph, tasks) per fingerprint and
-            # resets task state on every hit, so both loops see
-            # identical fresh task objects.
-            _graph, tasks, resources = compile_plan(plan, iterations)
-            engine = Engine(resources, vectorized=vectorized)
-            results.append(engine.run(tasks, keep_finish_times=True,
-                                      record_tasks=True))
-        _assert_bitwise_equal(results[0], results[1])
+        # compile_plan memoizes (graph, tasks) per fingerprint and
+        # resets task state on every hit, so both loops see identical
+        # fresh task objects.
+        _graph, tasks, resources = compile_plan(plan, iterations)
+        reference = run_reference(resources, tasks,
+                                  keep_finish_times=True,
+                                  record_tasks=True)
+        _graph, tasks, resources = compile_plan(plan, iterations)
+        engine = Engine(resources).run(tasks, keep_finish_times=True,
+                                       record_tasks=True)
+        _assert_bitwise_equal(reference, engine)
 
 
 # ---------------------------------------------------------------------

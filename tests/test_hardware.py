@@ -64,6 +64,11 @@ class TestClusters:
         with pytest.raises(ValueError):
             eflops_cluster(4).with_nodes(0)
 
+    def test_cluster_spec_rejects_bad_node_counts(self):
+        for nodes in (0, -8, 2.5):
+            with pytest.raises(ValueError, match="num_nodes"):
+                eflops_cluster(nodes)
+
     def test_cluster_is_frozen(self):
         cluster = eflops_cluster(4)
         with pytest.raises(AttributeError):

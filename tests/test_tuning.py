@@ -8,7 +8,6 @@ of the real run.
 
 import importlib
 import json
-import sys
 
 import pytest
 
@@ -258,21 +257,3 @@ class TestTuneConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown TuneConfig"):
             TuneConfig.from_dict({"stratgy": "coordinate-descent"})
-
-
-class TestAutotunerShim:
-    def test_old_import_path_warns_and_aliases(self):
-        sys.modules.pop("repro.core.autotuner", None)
-        with pytest.warns(DeprecationWarning,
-                          match="repro.tuning"):
-            shim = importlib.import_module("repro.core.autotuner")
-        from repro.tuning.warmup import AutoTuner, TuningResult
-        assert shim.AutoTuner is AutoTuner
-        assert shim.TuningResult is TuningResult
-
-    def test_core_package_lazy_alias(self):
-        import repro.core as core
-        from repro.tuning.warmup import AutoTuner
-        assert core.AutoTuner is AutoTuner
-        with pytest.raises(AttributeError):
-            core.NoSuchThing

@@ -39,6 +39,7 @@ matching the paper's two testbeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.baselines import framework_by_name
@@ -121,8 +122,7 @@ def framework_runner(name: str):
 def parse_cluster(spec) -> ClusterSpec:
     """Resolve ``eflops:N`` / ``gn6e:N`` specs (pass-through for built).
 
-    Names are case-insensitive — ``RunConfig.as_dict`` snapshots emit
-    the cluster's display name (``EFLOPS:2``) and must parse back.
+    Names are case-insensitive (``EFLOPS:2`` is ``eflops:2``).
     Raises :class:`ValueError` for unknown testbed names and for node
     counts that are not integers >= 1.
     """
@@ -139,8 +139,31 @@ def parse_cluster(spec) -> ClusterSpec:
 
 
 def _encode_cluster(spec) -> str:
-    cluster = parse_cluster(spec)
-    return f"{cluster.name}:{cluster.num_nodes}"
+    """A spec string kept as written; a built cluster as ``name:N``.
+
+    A built :class:`ClusterSpec` round-trips to an equal cluster only
+    when it is a stock ``eflops``/``gn6e`` testbed.
+    """
+    if isinstance(spec, ClusterSpec):
+        return f"{spec.name.lower()}:{spec.num_nodes}"
+    return spec
+
+
+def _check_count(name: str, value) -> None:
+    """``value`` must be an integer >= 1 (``bool`` is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_positive(name: str, value, allow_zero: bool = False) -> None:
+    """``value`` must be finite and > 0 (>= 0 with ``allow_zero``)."""
+    low_ok = value >= 0 if allow_zero else value > 0
+    if not (low_ok and value < math.inf):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, "
+                         f"got {value}")
 
 
 #: Process-wide memo for the facade's deterministic model builder.
@@ -188,15 +211,9 @@ class RunConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale < math.inf:
-            raise ValueError(
-                f"scale must be finite and > 0, got {self.scale}")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ValueError(
-                f"iterations must be >= 1, got {self.iterations}")
+        _check_positive("scale", self.scale)
+        _check_count("batch_size", self.batch_size)
+        _check_count("iterations", self.iterations)
         parse_cluster(self.cluster)
 
     def resolved_cluster(self) -> ClusterSpec:
@@ -345,6 +362,9 @@ class ServeConfig(ConfigBase):
         if self.cache not in CACHE_KINDS:
             raise ValueError(f"unknown cache {self.cache!r}; "
                              f"expected one of {CACHE_KINDS}")
+        _check_positive("rate_qps", self.rate_qps)
+        _check_positive("slo_s", self.slo_s)
+        _check_positive("max_wait_s", self.max_wait_s, allow_zero=True)
 
 
 def serve(config: ServeConfig, tracer=None,
@@ -434,6 +454,10 @@ class StreamConfig(ConfigBase):
         if self.cache not in CACHE_KINDS:
             raise ValueError(f"unknown cache {self.cache!r}; "
                              f"expected one of {CACHE_KINDS}")
+        _check_positive("rate_qps", self.rate_qps)
+        _check_positive("slo_s", self.slo_s)
+        _check_positive("train_step_s", self.train_step_s)
+        _check_positive("max_wait_s", self.max_wait_s, allow_zero=True)
 
 
 def stream(config: StreamConfig, tracer=None,

@@ -21,6 +21,7 @@ timeline — is a deterministic function of the configuration.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, field
 
@@ -166,8 +167,9 @@ def simulate_stream(num_requests: int = 4_000, seed: int = 0,
         :class:`~repro.prefetch.AdaptiveResidency` oracle sized to
         ``hot_rows``.  ``None`` keeps strict stream order.
     """
-    if train_step_s <= 0:
-        raise ValueError(f"train_step_s must be > 0, got {train_step_s}")
+    if not 0 < train_step_s < math.inf:
+        raise ValueError(
+            f"train_step_s must be finite and > 0, got {train_step_s}")
     dataset = dataset or default_serving_dataset()
     trainer_network = WdlNetwork(dataset, variant=variant, seed=seed)
     serving_network = clone_network(trainer_network)

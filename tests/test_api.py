@@ -1,6 +1,7 @@
 """Tests for the RunConfig/run facade and the Stats protocol."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.api import (
@@ -8,14 +9,20 @@ from repro.api import (
     RunConfig,
     ServeConfig,
     StreamConfig,
+    TuneConfig,
 )
 from repro.core.config import PicassoConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.embedding.hybrid_hash import CacheStats
 from repro.embedding.multilevel import TierStats
-from repro.hardware import eflops_cluster
+from repro.hardware import eflops_cluster, gn6e_cluster
+from repro.prefetch import PrefetchConfig
+from repro.replay import WAIT_MODELS
+from repro.serving import DiurnalShape, FlashCrowdShape
 from repro.serving.metrics import ServingReport
+from repro.serving.server import CACHE_KINDS
 from repro.sim.engine import SimSummary
+from repro.tuning import default_space
 from repro.telemetry import MetricsRegistry, is_stats, validate_chrome_trace
 from repro.training.trainer import TrainResult
 
@@ -58,7 +65,7 @@ class TestRunConfig:
 
     def test_as_dict_snapshot(self):
         snapshot = TINY.as_dict()
-        assert snapshot["cluster"] == "EFLOPS:2"
+        assert snapshot["cluster"] == "eflops:2"
         assert snapshot["model"] == "DLRM"
         assert snapshot["batch_size"] == 512
 
@@ -112,6 +119,12 @@ class TestConfigBase:
             TINY.with_overrides(batch_size=0)
         with pytest.raises(ValueError):
             TINY.with_overrides(iterations=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            TINY.with_overrides(batch_size=2.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            TINY.with_overrides(batch_size=True)
+        with pytest.raises(ValueError, match="iterations"):
+            TINY.with_overrides(iterations=1.5)
         with pytest.raises(ValueError):
             ServeConfig().with_overrides(replicas=0)
         with pytest.raises(ValueError):
@@ -128,8 +141,6 @@ class TestConfigBase:
         assert rebuilt.as_dict() == snapshot
 
     def test_parse_cluster_is_case_insensitive(self):
-        # as_dict emits the canonical upper-case testbed name; a
-        # round-tripped config must resolve it back.
         assert api.parse_cluster("EFLOPS:2").num_nodes == 2
         rebuilt = RunConfig.from_dict(TINY.as_dict())
         assert rebuilt.resolved_cluster().num_nodes == 2
@@ -138,6 +149,106 @@ class TestConfigBase:
         config = StreamConfig(requests=100, train_steps=10)
         rebuilt = StreamConfig.from_dict(config.as_dict())
         assert rebuilt.as_dict() == config.as_dict()
+
+
+# ---------------------------------------------------------------------
+# from_dict(as_dict(c)) == c over all four facade configs.
+# ---------------------------------------------------------------------
+
+_seconds = st.floats(min_value=1e-4, max_value=1.0)
+_cluster_strings = st.builds(
+    "{}:{}".format, st.sampled_from(["eflops", "EFLOPS", "gn6e", "Gn6e"]),
+    st.integers(min_value=1, max_value=64)) | st.sampled_from(
+        ["eflops", "gn6e"])
+_prefetch = st.none() | st.builds(
+    PrefetchConfig, lookahead_depth=st.integers(1, 8),
+    hot_threshold=st.floats(0.0, 1.0),
+    policy=st.sampled_from(["hotness", "fifo"]))
+_fault_plan = st.none() | st.builds(
+    lambda time_s, duration_s: FaultPlan(events=(FaultEvent(
+        kind="crash", time_s=time_s, duration_s=duration_s),)),
+    _seconds, _seconds)
+
+run_configs = st.builds(
+    RunConfig,
+    model=st.sampled_from(["W&D", "DLRM", "DIN", "CAN"]),
+    scale=st.floats(min_value=1e-3, max_value=4.0),
+    cluster=_cluster_strings,
+    framework=st.sampled_from(api.frameworks()),
+    batch_size=st.integers(min_value=1, max_value=100_000),
+    iterations=st.integers(min_value=1, max_value=512),
+    picasso=st.none() | st.builds(
+        PicassoConfig, micro_batches=st.integers(1, 8)),
+    record_tasks=st.booleans(),
+    fault_plan=_fault_plan,
+    prefetch=_prefetch)
+
+serve_configs = st.builds(
+    ServeConfig,
+    requests=st.integers(min_value=1, max_value=100_000),
+    seed=st.integers(min_value=0, max_value=2**31),
+    rate_qps=st.floats(min_value=1.0, max_value=1e6),
+    cache=st.sampled_from(CACHE_KINDS),
+    max_wait_s=st.just(0.0) | _seconds,
+    slo_s=_seconds,
+    replicas=st.integers(min_value=1, max_value=8),
+    fault_plan=_fault_plan,
+    prefetch=_prefetch)
+
+stream_configs = st.builds(
+    StreamConfig,
+    requests=st.integers(min_value=1, max_value=100_000),
+    rate_qps=st.floats(min_value=1.0, max_value=1e6),
+    shape=st.none()
+    | st.builds(FlashCrowdShape, _seconds, _seconds,
+                st.floats(1.0, 8.0))
+    | st.builds(DiurnalShape, _seconds, st.floats(0.0, 1.0)),
+    train_steps=st.integers(min_value=1, max_value=1_000),
+    train_step_s=_seconds,
+    publish_interval=st.integers(min_value=1, max_value=100),
+    cache=st.sampled_from(CACHE_KINDS),
+    max_wait_s=st.just(0.0) | _seconds,
+    slo_s=_seconds,
+    autoscale=st.booleans(),
+    prefetch=_prefetch)
+
+tune_configs = st.builds(
+    TuneConfig,
+    run=run_configs,
+    strategy=st.sampled_from(["coordinate-descent",
+                              "successive-halving", "warmup-grid"]),
+    top_k=st.integers(min_value=1, max_value=8),
+    knobs=st.none() | st.builds(default_space),
+    wait_model=st.sampled_from(WAIT_MODELS),
+    shrink_credit=st.floats(min_value=0.01, max_value=1.0),
+    diversity_cap=st.integers(min_value=1, max_value=4),
+    options=st.dictionaries(st.sampled_from(["rounds", "eta"]),
+                            st.integers(1, 8), max_size=2))
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("cls,configs", [
+        (RunConfig, run_configs),
+        (ServeConfig, serve_configs),
+        (StreamConfig, stream_configs),
+        (TuneConfig, tune_configs),
+    ], ids=["run", "serve", "stream", "tune"])
+    def test_from_dict_inverts_as_dict(self, cls, configs):
+        @settings(max_examples=40, deadline=None)
+        @given(configs)
+        def check(config):
+            assert cls.from_dict(config.as_dict()) == config
+
+        check()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.builds(lambda build, nodes: build(nodes),
+                     st.sampled_from([eflops_cluster, gn6e_cluster]),
+                     st.integers(min_value=1, max_value=64)))
+    def test_built_cluster_resolves_equal(self, cluster):
+        config = RunConfig(cluster=cluster)
+        rebuilt = RunConfig.from_dict(config.as_dict())
+        assert rebuilt.resolved_cluster() == config.resolved_cluster()
 
 
 class TestFrameworkRegistry:
@@ -260,6 +371,18 @@ class TestServeFacade:
             ServeConfig(replicas=0)
         with pytest.raises(ValueError):
             ServeConfig(cache="tape")
+        with pytest.raises(ValueError, match="rate_qps"):
+            ServeConfig(rate_qps=float("nan"))
+        with pytest.raises(ValueError, match="rate_qps"):
+            ServeConfig(rate_qps=0.0)
+        with pytest.raises(ValueError, match="slo_s"):
+            ServeConfig(slo_s=float("inf"))
+        with pytest.raises(ValueError, match="slo_s"):
+            ServeConfig(slo_s=-0.01)
+        with pytest.raises(ValueError, match="max_wait_s"):
+            ServeConfig(max_wait_s=float("nan"))
+        with pytest.raises(ValueError, match="max_wait_s"):
+            ServeConfig(max_wait_s=-0.001)
 
     def test_serve_matches_direct_simulation(self):
         from repro.serving.server import simulate_serving

@@ -17,13 +17,7 @@ compiled plans the bench suites run.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunConfig
-from repro.bench.walltime import (
-    WALLTIME_BUDGET_S,
-    _TickClock,
-    bench_walltime,
-    measure_walltime,
-)
+from repro.api import RunConfig, run
 from repro.core.config import PicassoConfig
 from repro.core.executor import compile_plan
 from repro.core.planner import PicassoPlanner
@@ -304,41 +298,19 @@ class TestCompiledPlanEquivalence:
 
 
 # ---------------------------------------------------------------------
-# The walltime harness itself.
+# The full-scale single-step workload, pinned to exact values.
 # ---------------------------------------------------------------------
 
-class TestWalltimeHarness:
-    def test_tick_clock_protocol(self):
-        # Each run costs exactly one tick under the deterministic
-        # clock, so the protocol's bookkeeping is fully pinned.
-        record = measure_walltime(clock=_TickClock())
-        assert record["warmup_s"] == [1.0]
-        assert record["runs_s"] == [1.0, 1.0, 1.0]
-        assert record["median_s"] == 1.0
-        assert record["task_count"] > 0
-        assert record["event_count"] > 0
-        assert "within_budget" not in record
-
-    def test_budget_verdict(self):
-        over = measure_walltime(clock=_TickClock(), budget_s=0.5)
-        assert over["budget_s"] == 0.5
-        assert over["within_budget"] is False
-        under = measure_walltime(clock=_TickClock(), budget_s=2.0)
-        assert under["within_budget"] is True
-
-    def test_protocol_validation(self):
-        with pytest.raises(ValueError):
-            measure_walltime(runs=0)
-        with pytest.raises(ValueError):
-            measure_walltime(warmup=-1)
-
-    def test_snapshot_is_modeled_not_wall_clock(self):
-        snapshot = bench_walltime()
-        assert snapshot.name == "walltime"
-        assert snapshot.metrics["timed_runs"] == 3
-        assert snapshot.metrics["warmup_runs"] == 1
-        assert snapshot.metrics["tick_median_s"] == 1.0
-        assert all(value == 0.0
-                   for value in snapshot.tolerances.values())
-        assert snapshot.monitors["harness"]["budget_s"] \
-            == WALLTIME_BUDGET_S
+class TestFullScaleWorkload:
+    def test_structure_and_modeled_throughput_exact(self):
+        # The full-scale W&D model for one step.  A change to the
+        # graph, the lowering or the engine's arithmetic moves at least
+        # one of these four values.
+        report = run(RunConfig(model="W&D", dataset="Product-1",
+                               scale=1.0, cluster="eflops:2",
+                               batch_size=20_000, iterations=1))
+        summary = report.result.summary()
+        assert summary.task_count == 243
+        assert summary.event_count == 479
+        assert report.result.makespan == 0.46374228643299586
+        assert report.ips == 43127.40197542825

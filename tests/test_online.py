@@ -354,6 +354,16 @@ class TestStreamConfig:
             StreamConfig(publish_interval=0)
         with pytest.raises(ValueError):
             StreamConfig(cache="no-such-cache")
+        with pytest.raises(ValueError, match="train_step_s"):
+            StreamConfig(train_step_s=float("nan"))
+        with pytest.raises(ValueError, match="train_step_s"):
+            StreamConfig(train_step_s=0.0)
+        with pytest.raises(ValueError, match="rate_qps"):
+            StreamConfig(rate_qps=float("nan"))
+        with pytest.raises(ValueError, match="slo_s"):
+            StreamConfig(slo_s=float("inf"))
+        with pytest.raises(ValueError, match="max_wait_s"):
+            StreamConfig(max_wait_s=-0.001)
 
 
 class TestStreamCli:

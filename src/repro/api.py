@@ -157,6 +157,29 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_rows(name: str, value) -> None:
+    """``value`` must be an integer >= 0 (a row capacity; not ``bool``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_serving(config) -> None:
+    """Checks :class:`ServeConfig` and :class:`StreamConfig` share."""
+    _check_count("requests", config.requests)
+    _check_count("max_batch_size", config.max_batch_size)
+    _check_count("micro_batch_rows", config.micro_batch_rows)
+    _check_rows("hot_rows", config.hot_rows)
+    _check_rows("warm_rows", config.warm_rows)
+    if config.cache not in CACHE_KINDS:
+        raise ValueError(f"unknown cache {config.cache!r}; "
+                         f"expected one of {CACHE_KINDS}")
+    _check_positive("rate_qps", config.rate_qps)
+    _check_positive("slo_s", config.slo_s)
+    _check_positive("max_wait_s", config.max_wait_s, allow_zero=True)
+
+
 def _check_positive(name: str, value, allow_zero: bool = False) -> None:
     """``value`` must be finite and > 0 (>= 0 with ``allow_zero``)."""
     low_ok = value >= 0 if allow_zero else value > 0
@@ -355,16 +378,9 @@ class ServeConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
+        _check_serving(self)
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.cache not in CACHE_KINDS:
-            raise ValueError(f"unknown cache {self.cache!r}; "
-                             f"expected one of {CACHE_KINDS}")
-        _check_positive("rate_qps", self.rate_qps)
-        _check_positive("slo_s", self.slo_s)
-        _check_positive("max_wait_s", self.max_wait_s, allow_zero=True)
 
 
 def serve(config: ServeConfig, tracer=None,
@@ -445,19 +461,12 @@ class StreamConfig(ConfigBase):
     }
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
+        _check_serving(self)
         if self.train_steps < 1:
             raise ValueError("train_steps must be >= 1")
         if self.publish_interval < 1:
             raise ValueError("publish_interval must be >= 1")
-        if self.cache not in CACHE_KINDS:
-            raise ValueError(f"unknown cache {self.cache!r}; "
-                             f"expected one of {CACHE_KINDS}")
-        _check_positive("rate_qps", self.rate_qps)
-        _check_positive("slo_s", self.slo_s)
         _check_positive("train_step_s", self.train_step_s)
-        _check_positive("max_wait_s", self.max_wait_s, allow_zero=True)
 
 
 def stream(config: StreamConfig, tracer=None,

@@ -90,7 +90,7 @@ class HybridHash:
         self.flush_history: list = []
         self._hot_ids: set = set()
         #: sorted int64 mirror of ``_hot_ids`` for vectorized
-        #: membership tests (``np.isin`` over a query batch).
+        #: membership tests (``np.searchsorted`` over a query batch).
         self._hot_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._iteration = 0
         self._pin_all = False
@@ -132,9 +132,7 @@ class HybridHash:
         if self._pin_all:
             hits = int(ids.size)
         else:
-            keys = ids.astype(np.int64, copy=False)
-            hits = int(np.isin(keys, self._hot_arr,
-                               assume_unique=False).sum())
+            hits = self._hot_count(ids)
         self.stats.hot_hits += hits
         self.stats.cold_misses += int(ids.size) - hits
         self.hit_history.append(hits / ids.size if ids.size else 0.0)
@@ -157,9 +155,21 @@ class HybridHash:
             return 0.0
         if self._pin_all:
             return 1.0
-        hits = int(np.isin(unique.astype(np.int64, copy=False),
-                           self._hot_arr).sum())
-        return hits / unique.size
+        return self._hot_count(unique) / unique.size
+
+    def _hot_count(self, ids: np.ndarray) -> int:
+        """How many of ``ids`` are in Hot-storage (``np.isin``'s count).
+
+        ``_hot_arr`` is already sorted, so a binary search per query
+        replaces ``np.isin``'s per-call re-hash of the query.
+        """
+        hot = self._hot_arr
+        if hot.size == 0:
+            return 0
+        keys = ids.astype(np.int64, copy=False)
+        slots = np.searchsorted(hot, keys)
+        np.minimum(slots, hot.size - 1, out=slots)
+        return int(np.count_nonzero(hot[slots] == keys))
 
     def _maybe_pin_all(self) -> None:
         """Pin everything hot if capacity is *far beyond* the table.

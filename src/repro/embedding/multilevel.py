@@ -12,6 +12,7 @@ Algorithm 1's flush: the hottest rows float to the fastest tier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -129,21 +130,25 @@ class MultiLevelCache:
             - sum(counts[tier.name] for tier in self.tiers[:-1]))
         return counts
 
+    def _tiers_of(self, unique: np.ndarray) -> np.ndarray:
+        """Tier index of each ID in ``unique`` (bottom if unplaced)."""
+        return np.fromiter(
+            map(self._placement.get, unique.tolist(),
+                repeat(len(self.tiers) - 1)),
+            dtype=np.intp, count=unique.size)
+
     def lookup(self, ids: np.ndarray) -> np.ndarray:
         """Fetch embeddings, tracking per-tier hits; returns rows."""
         ids = np.asarray(ids).ravel()
         self.counter.observe(ids)
         if self._iteration >= self.warmup_iters:
             unique = np.unique(ids)
-            fast_hits = 0
-            for raw in unique:
-                index = self._placement.get(int(raw),
-                                            len(self.tiers) - 1)
-                self.stats[self.tiers[index].name].hits += 1
-                if index == 0:
-                    fast_hits += 1
+            hits = np.bincount(self._tiers_of(unique),
+                               minlength=len(self.tiers)).tolist()
+            for tier, tier_hits in zip(self.tiers, hits):
+                self.stats[tier.name].hits += tier_hits
             self.hit_history.append(
-                fast_hits / unique.size if unique.size else 0.0)
+                hits[0] / unique.size if unique.size else 0.0)
         result = self.table.lookup(ids)
         self._iteration += 1
         if (self._iteration >= self.warmup_iters
@@ -157,16 +162,20 @@ class MultiLevelCache:
         self.table.scatter_add(ids, deltas)
 
     def expected_access_cost(self, ids: np.ndarray) -> float:
-        """Modeled seconds to fetch a batch given current placement."""
+        """Modeled seconds to fetch a batch given current placement.
+
+        The per-row costs are summed in ascending ID order with
+        ``np.cumsum``, which adds strictly left to right (``np.sum``
+        is pairwise and would round differently).
+        """
         ids = np.unique(np.asarray(ids).ravel())
+        if ids.size == 0:
+            return 0.0
         row_bytes = self.table.dim * 4
-        cost = 0.0
-        for raw in ids:
-            index = self._placement.get(int(raw), len(self.tiers) - 1)
-            tier = self.tiers[index]
-            cost += tier.access_latency \
-                + row_bytes * tier.access_seconds_per_byte
-        return cost
+        per_tier = np.array([
+            tier.access_latency + row_bytes * tier.access_seconds_per_byte
+            for tier in self.tiers])
+        return float(np.cumsum(per_tier[self._tiers_of(ids)])[-1])
 
     def _rebuild_placement(self) -> None:
         """Float the hottest rows to the fastest tiers (flush step)."""
@@ -181,8 +190,8 @@ class MultiLevelCache:
                 tier_rows = len(ordered) - cursor
             else:
                 tier_rows = int(tier.capacity_bytes // row_bytes)
-            for key in ordered[cursor:cursor + tier_rows]:
-                placement[key] = index
+            placement.update(zip(ordered[cursor:cursor + tier_rows],
+                                 repeat(index)))
             cursor += tier_rows
             if cursor >= len(ordered):
                 break

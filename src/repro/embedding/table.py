@@ -38,8 +38,10 @@ class EmbeddingTable:
         return int(key) in self._rows
 
     def _initial_row(self, key: int) -> np.ndarray:
-        rng = np.random.default_rng((self._seed * 0x9E3779B9 + key)
-                                    & 0x7FFFFFFF)
+        # ``default_rng(seed)`` is exactly this stream, minus its
+        # argument dispatch (paid once per lazily created row).
+        rng = np.random.Generator(np.random.PCG64(
+            (self._seed * 0x9E3779B9 + key) & 0x7FFFFFFF))
         return (rng.standard_normal(self.dim) * self._scale).astype(
             np.float32)
 

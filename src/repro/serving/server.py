@@ -163,20 +163,32 @@ class ModelServer:
 
     # -- latency model -------------------------------------------------------
 
-    def _cache_keys(self, requests: list) -> np.ndarray:
-        """Union-ID-space cache keys for a batch's sparse features."""
-        keys = [
-            request.sparse[name] + offset
-            for name, offset in self._key_offsets.items()
-            for request in requests
-        ]
-        return np.concatenate(keys) if keys else np.zeros(0, np.int64)
+    def _field_ids(self, requests: list) -> dict:
+        """Field name -> the batch's IDs for that field, request order."""
+        if not requests:
+            return {}
+        return {
+            name: np.concatenate([request.sparse[name]
+                                  for request in requests])
+            for name in self._key_offsets
+        }
+
+    def _cache_keys(self, field_ids: dict) -> np.ndarray:
+        """Union-ID-space cache keys for a batch's :meth:`_field_ids`.
+
+        Field-major: the first field's IDs shifted by its offset, then
+        the next field's.
+        """
+        if not field_ids:
+            return np.zeros(0, np.int64)
+        return np.concatenate([ids + self._key_offsets[name]
+                               for name, ids in field_ids.items()])
 
     def batch_keys(self, requests: list) -> np.ndarray:
         """Public view of a batch's cache keys (prefetch classifiers
         score residency in the same union ID space the cache is keyed
         on)."""
-        return self._cache_keys(requests)
+        return self._cache_keys(self._field_ids(requests))
 
     def _fetch_seconds(self, keys: np.ndarray) -> float:
         """Modeled embedding-fetch time under current placement."""
@@ -216,8 +228,7 @@ class ModelServer:
         """Service-time estimate for admission control (no side effects)."""
         if not requests:
             return 0.0
-        keys = self._cache_keys(requests)
-        fetch_s = self._fetch_seconds(keys)
+        fetch_s = self._fetch_seconds(self.batch_keys(requests))
         service, _slices, _compute = self._service_seconds(
             fetch_s, len(requests))
         return service
@@ -228,18 +239,14 @@ class ModelServer:
         """Serve one admitted batch: cache lookup + real forward pass."""
         if not requests:
             raise ValueError("cannot process an empty batch")
-        keys = self._cache_keys(requests)
+        field_ids = self._field_ids(requests)
+        keys = self._cache_keys(field_ids)
         fetch_s = self._fetch_seconds(keys)
         self.cache.lookup(keys)  # records hits, advances flush clock
         service, slices, compute_s = self._service_seconds(
             fetch_s, len(requests))
         batch = Batch(
-            batch_size=len(requests),
-            sparse={
-                name: np.concatenate(
-                    [request.sparse[name] for request in requests])
-                for name in self._key_offsets
-            },
+            batch_size=len(requests), sparse=field_ids,
             numeric=np.stack([request.numeric for request in requests]))
         scores = self.network.predict(batch)
         return BatchService(scores=scores, fetch_s=fetch_s,

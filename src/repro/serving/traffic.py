@@ -17,10 +17,23 @@ notification) that autoscalers exist for.  Shaped streams are drawn by
 Lewis–Shedler thinning against the peak rate, which samples the exact
 non-homogeneous Poisson process rather than an approximation.
 
-All randomness flows from one explicit ``numpy`` generator seeded at
+All randomness flows from explicit ``numpy`` generators seeded at
 construction: the same seed reproduces the same trace across processes
 (the field samplers use :func:`~repro.data.synthetic.stable_field_hash`
 rather than the process-randomized builtin ``hash``).
+
+**Block-draw invariant.**  Arrivals, each field's IDs and the numeric
+features come from separate streams (one per field sampler, one for
+arrivals, one for numerics), and every draw consumes its stream in
+order: ``Generator.random(n)`` takes one 64-bit draw per double and
+``standard_normal((n, m))`` fills in C order.  So one
+``sample_batch(count)`` per field, reshaped to ``(count, seq_length)``,
+holds exactly the IDs ``count`` per-request ``sample_batch(1)`` calls
+would draw, and one ``(count, num_numeric)`` normal block holds the
+per-request feature rows.  :meth:`TrafficGenerator.generate` draws
+those blocks once per call and hands each :class:`Request` row views
+into them; consecutive calls continue every stream where the last one
+stopped.
 """
 
 from __future__ import annotations
@@ -148,7 +161,8 @@ class Request:
 
     :param request_id: position in the trace (0-based).
     :param arrival_s: absolute arrival time in seconds.
-    :param sparse: field name -> int64 ID array (``seq_length`` IDs).
+    :param sparse: field name -> int64 ID array (``seq_length`` IDs;
+        a row view into the generating call's per-field block).
     :param numeric: fp32 dense features, shape ``(num_numeric,)``.
     """
 
@@ -165,8 +179,8 @@ class TrafficGenerator:
     :param rate_qps: mean (unshaped) arrival rate in requests/second.
     :param seed: seeds both the arrival process and the ID samplers.
     :param shape: optional :class:`RateShape` modulating the rate over
-        time; ``None`` keeps the homogeneous process (and its exact
-        historical byte stream for a given seed).
+        time; ``None`` keeps the homogeneous process, whose gaps are
+        one block of exponential draws.
     """
 
     def __init__(self, dataset: DatasetSpec, rate_qps: float,
@@ -212,19 +226,25 @@ class TrafficGenerator:
         return arrivals
 
     def generate(self, count: int) -> list:
-        """Produce ``count`` requests in arrival order."""
+        """Produce ``count`` requests in arrival order.
+
+        Each field's IDs and the numeric features are drawn as one
+        block per call (see the module's block-draw invariant); every
+        request holds row views into those blocks.
+        """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        arrivals = self._arrival_times(count)
-        requests = []
-        for index in range(count):
-            sparse = {
-                name: sampler.sample_batch(1)
-                for name, sampler in self._samplers.items()
-            }
-            numeric = self._numeric_rng.standard_normal(
-                self.dataset.num_numeric).astype(np.float32)
-            requests.append(Request(request_id=index,
-                                    arrival_s=float(arrivals[index]),
-                                    sparse=sparse, numeric=numeric))
-        return requests
+        arrivals = self._arrival_times(count).tolist()
+        blocks = [
+            (name, sampler.sample_batch(count).reshape(
+                count, sampler.field.seq_length))
+            for name, sampler in self._samplers.items()
+        ]
+        numeric = self._numeric_rng.standard_normal(
+            (count, self.dataset.num_numeric)).astype(np.float32)
+        return [
+            Request(request_id=index, arrival_s=arrivals[index],
+                    sparse={name: block[index] for name, block in blocks},
+                    numeric=numeric[index])
+            for index in range(count)
+        ]

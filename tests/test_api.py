@@ -384,6 +384,23 @@ class TestServeFacade:
         with pytest.raises(ValueError, match="max_wait_s"):
             ServeConfig(max_wait_s=-0.001)
 
+    @pytest.mark.parametrize("config_type", [ServeConfig, StreamConfig])
+    @pytest.mark.parametrize("field, value", [
+        ("hot_rows", -5), ("warm_rows", -1), ("hot_rows", 2.5),
+        ("warm_rows", True), ("max_batch_size", 0),
+        ("max_batch_size", 1.5), ("micro_batch_rows", 0),
+        ("requests", True), ("requests", 2.0),
+    ])
+    def test_serving_counts_checked_at_the_boundary(self, config_type,
+                                                    field, value):
+        with pytest.raises(ValueError, match=field):
+            config_type(**{field: value})
+
+    @pytest.mark.parametrize("config_type", [ServeConfig, StreamConfig])
+    def test_zero_capacity_tiers_allowed(self, config_type):
+        config = config_type(hot_rows=0, warm_rows=0)
+        assert (config.hot_rows, config.warm_rows) == (0, 0)
+
     def test_serve_matches_direct_simulation(self):
         from repro.serving.server import simulate_serving
 

@@ -123,7 +123,7 @@ class DataParallelTrainer:
         for table in self.network.sparse_tables():
             for shard_grads in sparse_grads:
                 for rows, grads in shard_grads[table.name]:
-                    table._sparse_grads.append((rows, grads))
+                    table.add_sparse_grad(rows, grads)
         self.optimizer.step(self.network.parameters(),
                             self.network.sparse_tables())
         self.network.zero_grad()
@@ -194,7 +194,7 @@ class ParameterServer:
         for table in self.network.sparse_tables():
             table.zero_grad()
             for rows, grads in sparse_grads.get(table.name, []):
-                table._sparse_grads.append((rows, grads))
+                table.add_sparse_grad(rows, grads)
         self.optimizer.step(self.network.parameters(),
                             self.network.sparse_tables())
         self.network.zero_grad()

@@ -140,7 +140,9 @@ class GruPooling:
             xrh = np.concatenate([x, r * h], axis=1)
             h_tilde = np.tanh(xrh @ self.w_h)
             new_h = (1 - z) * h + z * h_tilde
-            states.append((x, h, z, r, h_tilde))
+            # Backward reads x and h back out of xh, so it needs no
+            # second concatenate.
+            states.append((xh, z, r, h_tilde))
             h = new_h
         self._cache = (sequence.shape, states)
         return h
@@ -153,7 +155,8 @@ class GruPooling:
         grad_seq = np.zeros((batch, steps, dim))
         grad_h = grad
         for step in reversed(range(steps)):
-            x, h_prev, z, r, h_tilde = states[step]
+            xh, z, r, h_tilde = states[step]
+            x, h_prev = xh[:, :dim], xh[:, dim:]
             grad_z = grad_h * (h_tilde - h_prev)
             grad_h_tilde = grad_h * z
             grad_h_prev = grad_h * (1 - z)
@@ -169,7 +172,6 @@ class GruPooling:
 
             pre_z = grad_z * z * (1 - z)
             pre_r = grad_r * r * (1 - r)
-            xh = np.concatenate([x, h_prev], axis=1)
             self.grad_w_z += xh.T @ pre_z
             self.grad_w_r += xh.T @ pre_r
             grad_xh = pre_z @ self.w_z.T + pre_r @ self.w_r.T

@@ -6,13 +6,15 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable logistic function.
+
+    ``1 / (1 + e^-x)`` for ``x >= 0`` and ``e^x / (1 + e^x)`` below,
+    in one pass: ``z = e^-|x|`` is the exponential either branch needs.
+    ``min(x, -x)`` is ``-|x|`` that passes a NaN through with its sign.
+    """
+    z = np.exp(np.minimum(x, -x))
+    return np.asarray(np.where(x >= 0, 1.0, z) / (1.0 + z),
+                      dtype=np.float64)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -76,8 +78,9 @@ class DenseEmbedding:
 
     IDs are folded into ``vocab_rows`` via modulo (the standard hash
     trick) so laptop-scale training can consume the full-scale ID
-    streams.  Gradients accumulate into a sparse (ids, deltas) list the
-    optimizer applies with ``np.add.at`` semantics.
+    streams.  Gradients accumulate into a list of sparse
+    ``(rows, grads)`` pairs; the optimizer applies each pair in turn,
+    duplicate rows folding in occurrence order.
     """
 
     def __init__(self, vocab_rows: int, dim: int, name: str,
@@ -106,7 +109,15 @@ class DenseEmbedding:
         """Record sparse gradients for the most recent forward."""
         if self._last_rows is None:
             raise RuntimeError("backward called before forward")
-        self._sparse_grads.append((self._last_rows, grad))
+        self.add_sparse_grad(self._last_rows, grad)
+
+    def add_sparse_grad(self, rows: np.ndarray, grads: np.ndarray) -> None:
+        """Stage one ``(rows, grads)`` pair for the next optimizer step.
+
+        How gradients computed elsewhere (a PS push, a stale async
+        update, an Allreduced shard) reach the table.
+        """
+        self._sparse_grads.append((rows, grads))
 
     def sparse_grads(self) -> list:
         """Pending (rows, grads) pairs since the last ``zero_grad``."""

@@ -12,7 +12,58 @@ optimizer PICASSO can enable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def _check_positive(name: str, value: float) -> float:
+    """``value`` if it is a finite number > 0, else ``ValueError``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _check_beta(name: str, value: float) -> float:
+    """``value`` if it lies in ``[0, 1)``, else ``ValueError``."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value}")
+    return value
+
+
+def _ordered_add(current: np.ndarray, inverse: np.ndarray,
+                 index: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """``current`` with each ``deltas[i]`` added to row ``inverse[i]``.
+
+    ``index`` (from :func:`_bincount_index`) sends every cell of
+    ``current`` to its own bin first, then every delta cell to its
+    row's bin in occurrence order.  ``np.bincount`` sums strictly in
+    input order, so each cell folds ``current + d_0 + d_1 + ...`` left
+    to right: bit for bit what unbuffered ``np.add.at`` computes.
+
+    A bin starts at +0.0, so a ``-0.0`` cell that receives only
+    ``-0.0`` deltas would come out ``+0.0``.  Training never makes a
+    ``-0.0`` cell (a sum of floats is ``-0.0`` only if every term is),
+    so when one is present the ``np.add.at`` fold runs instead.
+    """
+    if not current.all() and np.signbit(current[current == 0]).any():
+        out = current.copy()
+        np.add.at(out, inverse, deltas)
+        return out
+    weights = np.concatenate([current.ravel(), deltas.ravel()])
+    return np.bincount(index, weights,
+                       minlength=current.size).reshape(current.shape)
+
+
+def _bincount_index(inverse: np.ndarray, rows: int,
+                    dim: int) -> np.ndarray:
+    """Flat bins for :func:`_ordered_add` over ``rows`` unique rows:
+    the ``rows*dim`` cells in order, then one ``dim``-wide run per
+    occurrence at its row ``inverse[i]``."""
+    cells = rows * dim
+    return np.concatenate([
+        np.arange(cells),
+        ((inverse * dim)[:, None] + np.arange(dim)).ravel()])
 
 
 class Optimizer:
@@ -25,10 +76,9 @@ class Optimizer:
     """
 
     def __init__(self, lr: float = 0.01, sparse_lr: float | None = None):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        self.lr = lr
-        self.sparse_lr = sparse_lr if sparse_lr is not None else lr
+        self.lr = _check_positive("lr", lr)
+        self.sparse_lr = (lr if sparse_lr is None
+                          else _check_positive("sparse_lr", sparse_lr))
         self._sparse_state: dict = {}
 
     def step(self, params: dict, sparse_tables: list) -> None:
@@ -72,13 +122,26 @@ class Optimizer:
         """Subclass hook: restore :meth:`_extra_state_arrays` slots."""
 
     def _sparse_update(self, table) -> None:
+        """Adagrad on the touched rows, one ``(rows, grads)`` pair at a
+        time: accumulate squared grads into the row state, then step
+        every occurrence by the row's *final* state.
+
+        Duplicate rows are coalesced with one ordered bincount per
+        slot (:func:`_ordered_add`), bit-identical to unbuffered
+        ``np.add.at``.
+        """
         state = self._sparse_state.setdefault(
             table.name, np.zeros(table.table.shape, dtype=np.float64))
         for rows, grads in table.sparse_grads():
-            np.add.at(state, rows, grads ** 2)
-            denom = np.sqrt(state[rows]) + 1e-8
-            np.add.at(table.table, rows,
-                      -self.sparse_lr * grads / denom)
+            unique, inverse = np.unique(rows, return_inverse=True)
+            index = _bincount_index(inverse, unique.size, table.dim)
+            new_state = _ordered_add(state[unique], inverse, index,
+                                     grads ** 2)
+            state[unique] = new_state
+            denom = (np.sqrt(new_state) + 1e-8)[inverse]
+            table.table[unique] = _ordered_add(
+                table.table[unique], inverse, index,
+                -self.sparse_lr * grads / denom)
 
 
 class SGD(Optimizer):
@@ -120,7 +183,7 @@ class Adagrad(Optimizer):
     def __init__(self, lr: float = 0.05, sparse_lr: float | None = None,
                  epsilon: float = 1e-8):
         super().__init__(lr, sparse_lr)
-        self.epsilon = epsilon
+        self.epsilon = _check_positive("epsilon", epsilon)
         self._accumulator: dict = {}
 
     def _dense_update(self, name, value, grad):
@@ -147,9 +210,9 @@ class Adam(Optimizer):
                  beta2: float = 0.999, epsilon: float = 1e-8,
                  sparse_lr: float | None = None):
         super().__init__(lr, sparse_lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+        self.beta1 = _check_beta("beta1", beta1)
+        self.beta2 = _check_beta("beta2", beta2)
+        self.epsilon = _check_positive("epsilon", epsilon)
         self._m: dict = {}
         self._v: dict = {}
         self._t = 0

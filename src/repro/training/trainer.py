@@ -203,7 +203,7 @@ class AsyncPsTrainer:
         for table in self.network.sparse_tables():
             table.zero_grad()
             for rows, grads in sparse[table.name]:
-                table._sparse_grads.append((rows, grads))
+                table.add_sparse_grad(rows, grads)
         self.optimizer.step(self.network.parameters(),
                             self.network.sparse_tables())
         for _name, (_value, grad) in self.network.parameters().items():

@@ -202,7 +202,8 @@ stream_configs = st.builds(
     shape=st.none()
     | st.builds(FlashCrowdShape, _seconds, _seconds,
                 st.floats(1.0, 8.0))
-    | st.builds(DiurnalShape, _seconds, st.floats(0.0, 1.0)),
+    | st.builds(DiurnalShape, _seconds,
+                st.floats(0.0, 1.0, exclude_max=True)),
     train_steps=st.integers(min_value=1, max_value=1_000),
     train_step_s=_seconds,
     publish_interval=st.integers(min_value=1, max_value=100),

@@ -137,6 +137,18 @@ class TestDenseEmbedding:
         assert np.array_equal(rows, np.array([1, 2]))
         assert deltas.shape == (2, 4)
 
+    def test_add_sparse_grad_stages_after_backward(self):
+        table = DenseEmbedding(10, 4, "e", np.random.default_rng(0))
+        table.forward(np.array([1, 2]))
+        table.backward(np.ones((2, 4)))
+        rows, grads = np.array([7]), np.full((1, 4), 2.0)
+        table.add_sparse_grad(rows, grads)
+        staged = table.sparse_grads()
+        assert len(staged) == 2
+        assert staged[1][0] is rows and staged[1][1] is grads
+        table.zero_grad()
+        assert table.sparse_grads() == []
+
     def test_backward_before_forward_errors(self):
         table = DenseEmbedding(10, 4, "e", np.random.default_rng(0))
         with pytest.raises(RuntimeError):

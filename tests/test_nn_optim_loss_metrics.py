@@ -42,6 +42,39 @@ class TestOptimizersConverge:
         with pytest.raises(ValueError):
             SGD(lr=0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("optimizer", [SGD, Adagrad, Adam, Lamb])
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+        ("sparse_lr", -1.0), ("sparse_lr", float("nan")),
+        ("sparse_lr", float("inf")), ("sparse_lr", 0.0),
+    ])
+    def test_rates_must_be_finite_and_positive(self, optimizer, field,
+                                               value):
+        with pytest.raises(ValueError, match=field):
+            optimizer(**{field: value})
+
+    @pytest.mark.parametrize("optimizer", [Adagrad, Adam, Lamb])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"),
+                                       float("inf")])
+    def test_epsilon_must_be_finite_and_positive(self, optimizer, value):
+        with pytest.raises(ValueError, match="epsilon"):
+            optimizer(epsilon=value)
+
+    @pytest.mark.parametrize("optimizer", [Adam, Lamb])
+    @pytest.mark.parametrize("field", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [1.0, -0.1, 1.5, float("nan")])
+    def test_betas_must_lie_in_unit_interval(self, optimizer, field,
+                                             value):
+        with pytest.raises(ValueError, match=field):
+            optimizer(**{field: value})
+
+    def test_valid_settings_kept(self):
+        adam = Adam(lr=0.01, beta1=0.0, beta2=0.5, epsilon=1e-6,
+                    sparse_lr=0.2)
+        assert (adam.lr, adam.sparse_lr, adam.beta1, adam.beta2,
+                adam.epsilon) == (0.01, 0.2, 0.0, 0.5, 1e-6)
+        assert Adagrad(lr=0.3).sparse_lr == 0.3
+
 
 class TestSparseUpdates:
     def test_adagrad_sparse_rows_move(self):
